@@ -13,6 +13,7 @@ exchange digests, pull what the peer has newer, push what we have newer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.errors import NetworkError, RemoteError, RpcTimeoutError
@@ -30,13 +31,19 @@ class Versioned:
     The stamp totally orders *all* writes, including a buggy or Byzantine
     writer reusing a counter with different values: the value hash breaks
     that tie deterministically, so replicas always converge.
+
+    The stamp is computed on first read and cached on the instance, so
+    ``value`` must not be mutated after construction: a changed value
+    would keep its old stamp.  Build a new ``Versioned`` (or use
+    ``dataclasses.replace``) instead.  Nothing enforces this yet; a
+    copying message boundary is the planned enforcement (ROADMAP item 5).
     """
 
     value: Any
     counter: int
     writer: str
 
-    @property
+    @cached_property
     def stamp(self) -> Tuple[int, str, str]:
         from repro.crypto.hashing import hash_obj
 

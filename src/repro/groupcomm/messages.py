@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, Optional
 
 from repro.crypto.hashing import hash_obj
@@ -29,6 +30,10 @@ class Message:
     ``encrypted`` records that.  ``audience`` is the author-defined access
     level (§3.2: PrPl/Persona let users define who may read what).
     ``msg_id`` is content-derived so replication layers can deduplicate.
+    It is computed on first read and cached on the instance, so no field
+    (``body`` included) may be mutated after construction; build a new
+    ``Message`` instead.  Nothing enforces this yet; a copying message
+    boundary is the planned enforcement (ROADMAP item 5).
     """
 
     author: str
@@ -39,7 +44,7 @@ class Message:
     seq: int = 0
     audience: str = Audience.FRIENDS
 
-    @property
+    @cached_property
     def msg_id(self) -> str:
         return hash_obj(
             {

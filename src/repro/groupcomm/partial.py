@@ -658,16 +658,17 @@ class PartialFederation(FederationBase):
         return handler
 
     def _make_digest_handler(self, server_id: str) -> Callable:
-        def handler(node: Node, payload: dict, sender: str) -> Dict[str, list]:
+        def handler(node: Node, payload: dict, sender: str) -> Dict[str, Stamp]:
             # Only advertise what policy would let this hub share with
             # the requesting peer — a `none`/untrusted peer learns
-            # nothing from digests (the metadata-leak gate).
+            # nothing from digests (the metadata-leak gate).  Stamps go
+            # out as the stores' cached tuples; readers tuple() them.
             hub = self.hubs[server_id]
             peer = hub.peers.get(sender)
             if peer is None or not hub.federates_with(sender):
                 return {}
             return {
-                key: list(item.stamp)
+                key: item.stamp
                 for key, item in (
                     (key, hub.store.item(key))
                     for key in sorted(hub.store.keys())
