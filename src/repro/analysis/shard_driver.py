@@ -217,7 +217,6 @@ def _federation_shard_point(
     model_name: str,
     seed: int,
     shards: int,
-    mode: str,
     n_servers: int,
     n_users: int,
     n_messages: int,
@@ -225,17 +224,15 @@ def _federation_shard_point(
 ) -> Dict[str, object]:
     """One E4 shard grid point: one federation model, K shards."""
     coordinator = ShardedSimulator(
-        federation_workload,
-        {
-            "model_name": model_name,
-            "n_servers": n_servers,
-            "n_users": n_users,
-            "n_messages": n_messages,
-            "failed_servers": failed_servers,
-        },
+        federation_workload(
+            model_name=model_name,
+            n_servers=n_servers,
+            n_users=n_users,
+            n_messages=n_messages,
+            failed_servers=failed_servers,
+        ),
         shards=shards,
         seed=seed,
-        mode=mode,
     )
     results = coordinator.run()
     users_complete = sum(r["users_complete"] for r in results)
@@ -260,7 +257,6 @@ def run_federation_availability_shard(
     n_users: int = 20,
     n_messages: int = 8,
     failed_servers: int = 1,
-    mode: str = "inline",
     runner: Optional[SweepRunner] = None,
 ) -> List[Dict[str, object]]:
     """E4 on the shard engine: one row per federation model.
@@ -276,7 +272,6 @@ def run_federation_availability_shard(
             "model_name": model_name,
             "seed": seed,
             "shards": shards,
-            "mode": mode,
             "n_servers": n_servers,
             "n_users": n_users,
             "n_messages": n_messages,
@@ -400,7 +395,6 @@ def ping_mesh_workload(
 def _ping_mesh_point(
     seed: int,
     shards: int,
-    mode: str,
     n_nodes: int,
     degree: int,
     n_rounds: int,
@@ -420,16 +414,9 @@ def _ping_mesh_point(
         rounds = 0
     else:
         coordinator = ShardedSimulator(
-            ping_mesh_workload,
-            {
-                "n_nodes": n_nodes,
-                "degree": degree,
-                "n_rounds": n_rounds,
-                "churn": churn,
-            },
+            ping_mesh_workload(n_nodes, degree, n_rounds, churn),
             shards=shards,
             seed=seed,
-            mode=mode,
         )
         results = coordinator.run()
         crossed = coordinator.router.messages_crossed
@@ -454,7 +441,6 @@ def run_social_tradeoff_shard(
     mesh_sizes: Sequence[int] = (12, 24),
     degree: int = 3,
     n_rounds: int = 4,
-    mode: str = "inline",
     runner: Optional[SweepRunner] = None,
 ) -> List[Dict[str, object]]:
     """E5 on the shard engine: RTT/loss rows per mesh size, with and
@@ -464,7 +450,6 @@ def run_social_tradeoff_shard(
         {
             "seed": seed,
             "shards": shards,
-            "mode": mode,
             "n_nodes": n_nodes,
             "degree": degree,
             "n_rounds": n_rounds,
@@ -555,18 +540,15 @@ def registration_workload(
 def _registration_shard_point(
     seed: int,
     shards: int,
-    mode: str,
     n_clients: int,
     preset: str = "",
 ) -> Dict[str, object]:
     """One registration smoke point, optionally under a fault preset."""
     plan = preset_plan(preset) if preset else None
     coordinator = ShardedSimulator(
-        registration_workload,
-        {"n_clients": n_clients},
+        registration_workload(n_clients=n_clients),
         shards=shards,
         seed=seed,
-        mode=mode,
         plan=plan,
     )
     results = coordinator.run()
@@ -585,7 +567,6 @@ def run_registration_shard_smoke(
     seed: int = 1,
     shards: int = 2,
     n_clients: int = 6,
-    mode: str = "inline",
     runner: Optional[SweepRunner] = None,
 ) -> List[Dict[str, object]]:
     """E6-class smoke on the shard engine: clean run and the
@@ -597,7 +578,6 @@ def run_registration_shard_smoke(
         {
             "seed": seed,
             "shards": shards,
-            "mode": mode,
             "n_clients": n_clients,
             "preset": preset,
         }
@@ -619,23 +599,19 @@ def run_shard_chaos(
     Arms ``preset`` on every shard and, at every synchronization
     barrier, checks message conservation over the combined cross-shard
     envelope accounting: ``sent == delivered + dropped + in_flight``
-    (router-carried envelopes count as in flight).  Inline mode only —
-    worker-process counters are unreachable between barriers.
+    (router-carried envelopes count as in flight).
     """
     checks = {"count": 0, "violations": 0}
     coordinator = ShardedSimulator(
-        registration_workload,
-        {"n_clients": n_clients},
+        registration_workload(n_clients=n_clients),
         shards=shards,
         seed=seed,
-        mode="inline",
         plan=preset_plan(preset),
     )
 
     def on_sync(round_no: int, barrier_time: float) -> None:
         flow = coordinator.live_flow()
-        if flow is None:  # pragma: no cover - inline mode always has flow
-            return
+        assert flow is not None  # on_sync only fires mid-run
         checks["count"] += 1
         if flow["sent"] != (
             flow["delivered"] + flow["dropped"] + flow["in_flight"]

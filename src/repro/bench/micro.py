@@ -154,7 +154,7 @@ def bench_shard_sync(metrics: Metrics) -> None:
     from repro.sim.shard import ShardedSimulator
 
     coordinator = ShardedSimulator(
-        _shard_token_workload, shards=_SHARD_COUNT, seed=4001,
+        _shard_token_workload(), shards=_SHARD_COUNT, seed=4001,
         metrics=metrics,
     )
     results = coordinator.run()

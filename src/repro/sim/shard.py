@@ -5,7 +5,8 @@ the cohort engine (:mod:`repro.sim.cohort`) abandons per-node fidelity
 for arrays.  This module is the middle path of ROADMAP item 1 track
 (b): keep protocol-faithful nodes, handlers, and fault plans, but
 space-partition the population into ``K`` shards that advance in
-parallel and exchange cross-shard messages as timestamped envelopes.
+lockstep windows and exchange cross-shard messages as timestamped
+envelopes.
 
 Synchronization is *conservative* (Chandy–Misra–Bryant style): all
 shards advance window by window, and each window ends ``lookahead``
@@ -40,21 +41,14 @@ Observability: the coordinator threads ``shard.messages_crossed``,
 :class:`~repro.faults.FaultInjector` per shard, so ``FaultSurface``
 windows and partitions apply on every shard consistently.
 
-Execution modes: ``mode="inline"`` (default) advances every shard in
-one process — the mode goldens, CI smokes, and traces use.
-``mode="process"`` runs each shard's event loop in a persistent worker
-process coordinated over pipes; the workload spec must be picklable
-(checked with the same guard discipline as
-:meth:`repro.analysis.runner.SweepRunner._picklable`, falling back to
-inline instead of crashing), and results are byte-identical to inline.
+All shards run in the coordinator's own process; ``docs/SCALING.md``
+records the measurements behind having no worker-process variant.
 """
 
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
-import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
@@ -447,7 +441,7 @@ def _build_shard(
     tracer: Optional[Tracer] = None,
     metrics: Optional[Metrics] = None,
 ) -> Shard:
-    """Construct one shard's world (used by inline and worker modes)."""
+    """Construct one shard's world."""
     streams = RngStreams(seed)
     sim = Simulator(tracer=tracer, metrics=metrics)
     assignment = assign_shards(workload.node_ids, shards)
@@ -503,186 +497,45 @@ def run_single_process(
 
 
 # ---------------------------------------------------------------------------
-# Shard handles: uniform coordinator API over inline and worker shards
-# ---------------------------------------------------------------------------
-
-class _InlineHandle:
-    """Drives one shard in the coordinator's own process."""
-
-    def __init__(self, shard: Shard, workload: ShardWorkload):
-        self.shard = shard
-        self.workload = workload
-        self.next_time = shard.sim.next_event_time()
-
-    def window(
-        self, until: float, inclusive: bool, envelopes: List[Envelope]
-    ) -> List[Envelope]:
-        network = self.shard.network
-        assert isinstance(network, ShardNetwork)
-        for envelope in envelopes:
-            network._inject_envelope(envelope)
-        self.shard.sim.run(until=until, inclusive=inclusive)
-        self.next_time = self.shard.sim.next_event_time()
-        return network._take_outbox()
-
-    def finish(self, horizon: float) -> Tuple[Dict[str, Any], Dict[str, int]]:
-        self.shard.sim.run(until=horizon)
-        return (
-            self.workload.collect(self.shard),
-            self.shard.network.flow_snapshot(),
-        )
-
-    def close(self) -> None:
-        return None
-
-
-def _shard_worker(
-    conn: Any,
-    factory: Callable[..., ShardWorkload],
-    kwargs: Dict[str, Any],
-    shards: int,
-    seed: int,
-    index: int,
-    plan: Any,
-) -> None:
-    """Worker-process entry point: one shard's event loop over a pipe.
-
-    The worker rebuilds its world from the picklable spec, then serves
-    ``window`` commands until ``finish``.  It runs unobserved — traces
-    and sim-level metrics are an inline-mode feature; the coordinator
-    still emits all ``shard_*`` events and counters itself, and
-    collected aggregates are byte-identical to inline mode.
-    """
-    try:
-        workload = factory(**kwargs)
-        shard = _build_shard(workload, shards, seed, index, plan)
-        conn.send(("ready", shard.sim.next_event_time()))
-        network = shard.network
-        assert isinstance(network, ShardNetwork)
-        while True:
-            command = conn.recv()
-            if command[0] == "window":
-                _tag, until, inclusive, envelopes = command
-                for envelope in envelopes:
-                    network._inject_envelope(envelope)
-                shard.sim.run(until=until, inclusive=inclusive)
-                conn.send((
-                    "window_done",
-                    shard.sim.next_event_time(),
-                    network._take_outbox(),
-                ))
-            elif command[0] == "finish":
-                shard.sim.run(until=command[1])
-                conn.send((
-                    "result",
-                    workload.collect(shard),
-                    network.flow_snapshot(),
-                ))
-                return
-            else:  # pragma: no cover - protocol guard
-                raise SimulationError(f"unknown shard command {command[0]!r}")
-    except Exception as exc:  # pragma: no cover - crash relay  # repro: noqa[ERR001]
-        conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        raise
-
-
-class _ProcessHandle:
-    """Drives one shard living in a persistent worker process."""
-
-    def __init__(
-        self,
-        factory: Callable[..., ShardWorkload],
-        kwargs: Dict[str, Any],
-        shards: int,
-        seed: int,
-        index: int,
-        plan: Any,
-    ):
-        parent_conn, child_conn = multiprocessing.Pipe()
-        self._conn = parent_conn
-        self._process = multiprocessing.Process(
-            target=_shard_worker,
-            args=(child_conn, factory, kwargs, shards, seed, index, plan),
-            name=f"repro-shard-{index}",
-        )
-        self._process.start()
-        self.next_time = self._expect("ready")[1]
-
-    def _expect(self, tag: str) -> Tuple[Any, ...]:
-        reply = self._conn.recv()
-        if reply[0] == "error":
-            self.close()
-            raise SimulationError(f"shard worker failed: {reply[1]}")
-        if reply[0] != tag:  # pragma: no cover - protocol guard
-            raise SimulationError(f"expected {tag!r}, got {reply[0]!r}")
-        return reply
-
-    def window(
-        self, until: float, inclusive: bool, envelopes: List[Envelope]
-    ) -> List[Envelope]:
-        self._conn.send(("window", until, inclusive, envelopes))
-        _tag, next_time, outbox = self._expect("window_done")
-        self.next_time = next_time
-        return list(outbox)
-
-    def finish(self, horizon: float) -> Tuple[Dict[str, Any], Dict[str, int]]:
-        self._conn.send(("finish", horizon))
-        _tag, collected, flow = self._expect("result")
-        return collected, flow
-
-    def close(self) -> None:
-        self._conn.close()
-        self._process.join(timeout=10.0)
-        if self._process.is_alive():  # pragma: no cover - hung worker
-            self._process.terminate()
-            self._process.join(timeout=10.0)
-
-
-# ---------------------------------------------------------------------------
 # The coordinator
 # ---------------------------------------------------------------------------
 
 class ShardedSimulator:
     """Runs a :class:`ShardWorkload` across ``K`` space-partition shards.
 
+    Every shard lives in the coordinator's process; the coordinator
+    advances them in index order, window by window.
+
     Parameters
     ----------
-    factory / kwargs:
-        ``factory(**kwargs)`` builds the workload.  Passing the spec
-        (not a built workload) is what lets ``mode="process"`` ship it
-        to workers; inline mode calls it directly.
+    workload:
+        The shard workload; every shard builds its world from it.
     shards / seed:
         The partition count and the root seed — together with the
         fault plan these fully determine the run.
-    mode:
-        ``"inline"`` (default) or ``"process"``.  Process mode checks
-        the spec for picklability exactly like the sweep runner's
-        pool guard and falls back to inline (``serial_fallback``)
-        rather than crash.
     plan:
         Optional :class:`~repro.faults.FaultPlan`, armed on every
         shard.
     tracer / metrics:
         :mod:`repro.obs` hooks; each omitted hook independently adopts
         the ambient one, like :class:`~repro.sim.engine.Simulator`.
+
+    ``router``, ``sync_rounds``, ``horizon_stalls`` and ``flow`` describe
+    the latest :meth:`run`; each run starts them afresh.
     """
 
     def __init__(
         self,
-        factory: Callable[..., ShardWorkload],
-        kwargs: Optional[Dict[str, Any]] = None,
+        workload: ShardWorkload,
         *,
         shards: int,
         seed: int,
-        mode: str = "inline",
         plan: Any = None,
         tracer: Optional[Tracer] = None,
         metrics: Optional[Metrics] = None,
     ):
         if shards < 1:
             raise SimulationError(f"shard count must be >= 1, got {shards}")
-        if mode not in ("inline", "process"):
-            raise SimulationError(f"unknown shard mode {mode!r}")
         if tracer is None or metrics is None:
             observation = _active_observation()
             if observation is not None:
@@ -692,47 +545,15 @@ class ShardedSimulator:
                     metrics = observation.metrics
         self._tracer = tracer
         self._metrics = metrics
-        self.factory = factory
-        self.kwargs = dict(kwargs or {})
+        self.workload = workload
         self.shards = shards
         self.seed = seed
-        self.mode = mode
         self.plan = plan
         self.router = ShardRouter()
-        self.serial_fallback = False
         self.sync_rounds = 0
         self.horizon_stalls = 0
         self.flow: Dict[str, int] = {}
-        self._handles: Optional[List[Any]] = None
-
-    # -- plumbing ---------------------------------------------------------
-
-    def _spec_picklable(self) -> bool:
-        """The sweep-runner pool guard, applied to the shard spec."""
-        try:
-            pickle.dumps((self.factory, self.kwargs, self.plan))
-        except (pickle.PicklingError, TypeError, AttributeError):
-            return False
-        return True
-
-    def _make_handles(self, workload: ShardWorkload) -> List[Any]:
-        if self.mode == "process":
-            if self._spec_picklable():
-                return [
-                    _ProcessHandle(self.factory, self.kwargs, self.shards,
-                                   self.seed, index, self.plan)
-                    for index in range(self.shards)
-                ]
-            self.serial_fallback = True
-        return [
-            _InlineHandle(
-                _build_shard(workload, self.shards, self.seed, index,
-                             self.plan, tracer=self._tracer,
-                             metrics=self._metrics),
-                workload,
-            )
-            for index in range(self.shards)
-        ]
+        self._running: Optional[List[Shard]] = None
 
     # -- the conservative window loop -------------------------------------
 
@@ -748,28 +569,25 @@ class ShardedSimulator:
         drivers use for invariant sweeps across shard boundaries
         (:meth:`live_flow` is valid inside the callback).
         """
-        workload = self.factory(**self.kwargs)
-        latency = (
-            workload.latency_factory(RngStreams(self.seed))
-            if workload.latency_factory is not None
-            else None
-        )
-        if latency is None:
-            from repro.net.latency import ConstantLatency
-
-            latency = ConstantLatency()
-        lookahead = derive_lookahead(latency)
+        workload = self.workload
         horizon = workload.horizon
-        handles = self._make_handles(workload)
-        self._handles = handles
+        built = [
+            _build_shard(workload, self.shards, self.seed, index, self.plan,
+                         tracer=self._tracer, metrics=self._metrics)
+            for index in range(self.shards)
+        ]
+        lookahead = derive_lookahead(built[0].network.latency)
         assignment = assign_shards(workload.node_ids, self.shards)
+        router = self.router = ShardRouter()
+        self.sync_rounds = 0
+        self.horizon_stalls = 0
+        self.flow = {}
+        self._running = built
+        next_times = [shard.sim.next_event_time() for shard in built]
         try:
             while True:
-                live = [
-                    t for t in (h.next_time for h in handles)
-                    if t is not None
-                ]
-                min_arrival = self.router.peek_min_arrival()
+                live = [t for t in next_times if t is not None]
+                min_arrival = router.peek_min_arrival()
                 if min_arrival is not None:
                     live.append(min_arrival)
                 if not live:
@@ -785,7 +603,7 @@ class ShardedSimulator:
                     )
                 inclusive = window_end > horizon
                 until = horizon if inclusive else window_end
-                batch = self.router.drain()
+                batch = router.drain()
                 for envelope in batch:
                     if self._metrics is not None:
                         self._metrics.inc("shard.messages_crossed")
@@ -804,9 +622,11 @@ class ShardedSimulator:
                     ).append(envelope)
                 stalls = 0
                 outboxes: List[Envelope] = []
-                for index, handle in enumerate(handles):
-                    incoming = by_shard.get(index, [])
-                    first = handle.next_time
+                for shard in built:
+                    network = shard.network
+                    assert isinstance(network, ShardNetwork)
+                    incoming = by_shard.get(shard.index, [])
+                    first = next_times[shard.index]
                     if incoming:
                         earliest = min(e.arrival for e in incoming)
                         first = (
@@ -817,8 +637,12 @@ class ShardedSimulator:
                         first > until if inclusive else first >= until
                     ):
                         stalls += 1
-                    outboxes.extend(handle.window(until, inclusive, incoming))
-                self.router.collect(outboxes)
+                    for envelope in incoming:
+                        network._inject_envelope(envelope)
+                    shard.sim.run(until=until, inclusive=inclusive)
+                    next_times[shard.index] = shard.sim.next_event_time()
+                    outboxes.extend(network._take_outbox())
+                router.collect(outboxes)
                 self.sync_rounds += 1
                 self.horizon_stalls += stalls
                 if self._metrics is not None:
@@ -839,31 +663,24 @@ class ShardedSimulator:
             # in_flight on the single-process engine.
             results: List[Dict[str, Any]] = []
             flows: List[Dict[str, int]] = []
-            for handle in handles:
-                collected, flow = handle.finish(horizon)
-                results.append(collected)
-                flows.append(flow)
-            self.flow = self.router.combined_flow(flows)
+            for shard in built:
+                shard.sim.run(until=horizon)
+                results.append(workload.collect(shard))
+                flows.append(shard.network.flow_snapshot())
+            self.flow = router.combined_flow(flows)
             return results
         finally:
-            self._handles = None
-            for handle in handles:
-                handle.close()
+            self._running = None
 
     def live_flow(self) -> Optional[Dict[str, int]]:
-        """Combined flow snapshot mid-run (inline mode only).
+        """Combined flow snapshot mid-run, or ``None`` outside a run.
 
         Valid inside an ``on_sync`` callback: every envelope is either
         inside some shard's flow accounting or carried by the router,
-        so the combined snapshot conserves at every barrier.  Returns
-        ``None`` when shards live in worker processes (their counters
-        are not reachable between barriers).
+        so the combined snapshot conserves at every barrier.
         """
-        handles = self._handles
-        if handles is None or any(
-            not isinstance(h, _InlineHandle) for h in handles
-        ):
+        if self._running is None:
             return None
         return self.router.combined_flow(
-            h.shard.network.flow_snapshot() for h in handles
+            s.network.flow_snapshot() for s in self._running
         )

@@ -1,12 +1,9 @@
 """Unit tests for the sharded engine's building blocks.
 
 Partitioner stability, lookahead derivation, envelope ordering, router
-conservation, the cross-shard RPC guard, coordinator validation, the
-process-mode pickling guard, and the worker protocol (driven in-process
-through a fake pipe so the loop is exercised under coverage).
+conservation, the cross-shard RPC guard, coordinator validation and
+reuse, and the coordinator's observation and fault surfaces.
 """
-
-import pickle
 
 import pytest
 
@@ -27,7 +24,6 @@ from repro.sim.shard import (
     ShardRouter,
     ShardWorkload,
     ShardedSimulator,
-    _shard_worker,
     assign_shards,
     derive_lookahead,
     run_single_process,
@@ -195,7 +191,7 @@ class TestShardNetwork:
 
 
 def _echo_workload(hops=3):
-    """Module-level (picklable) two-node ping-pong workload.
+    """Two-node ping-pong workload.
 
     ``left``/``right`` hash to different shards at K=2, so every hop
     crosses the barrier."""
@@ -231,15 +227,11 @@ def _echo_workload(hops=3):
 class TestShardedSimulator:
     def test_rejects_bad_shard_count(self):
         with pytest.raises(SimulationError):
-            ShardedSimulator(_echo_workload, shards=0, seed=1)
-
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(SimulationError):
-            ShardedSimulator(_echo_workload, shards=2, seed=1, mode="thread")
+            ShardedSimulator(_echo_workload(), shards=0, seed=1)
 
     def test_two_shard_run_matches_single_process(self):
         reference = run_single_process(_echo_workload(), seed=1)
-        coordinator = ShardedSimulator(_echo_workload, shards=2, seed=1)
+        coordinator = ShardedSimulator(_echo_workload(), shards=2, seed=1)
         results = coordinator.run()
         assert sum(r["seen"] for r in results) == reference["seen"] == 4
         assert coordinator.flow == reference["flow"]
@@ -248,7 +240,7 @@ class TestShardedSimulator:
 
     def test_k1_is_exactly_single_process(self):
         reference = run_single_process(_echo_workload(), seed=1)
-        coordinator = ShardedSimulator(_echo_workload, shards=1, seed=1)
+        coordinator = ShardedSimulator(_echo_workload(), shards=1, seed=1)
         results = coordinator.run()
         assert results[0]["seen"] == reference["seen"]
         assert coordinator.flow == reference["flow"]
@@ -256,7 +248,7 @@ class TestShardedSimulator:
         assert coordinator.router.messages_crossed == 0
 
     def test_on_sync_sees_monotone_barriers_and_conserved_flow(self):
-        coordinator = ShardedSimulator(_echo_workload, shards=2, seed=1)
+        coordinator = ShardedSimulator(_echo_workload(), shards=2, seed=1)
         barriers = []
 
         def on_sync(round_no, barrier_time):
@@ -274,38 +266,21 @@ class TestShardedSimulator:
         assert times == sorted(times)
 
     def test_live_flow_is_none_outside_a_run(self):
-        coordinator = ShardedSimulator(_echo_workload, shards=2, seed=1)
+        coordinator = ShardedSimulator(_echo_workload(), shards=2, seed=1)
         assert coordinator.live_flow() is None
 
-    def test_unpicklable_spec_falls_back_to_inline(self):
-        coordinator = ShardedSimulator(
-            lambda: _echo_workload(), shards=2, seed=1, mode="process"
-        )
-        assert not coordinator._spec_picklable()
-        results = coordinator.run()
-        assert coordinator.serial_fallback
-        assert sum(r["seen"] for r in results) == 4
-
-    def test_process_mode_matches_inline_exactly(self):
-        inline = ShardedSimulator(_echo_workload, shards=2, seed=1)
-        inline_results = inline.run()
-        process = ShardedSimulator(
-            _echo_workload, shards=2, seed=1, mode="process"
-        )
-        process_results = process.run()
-        assert not process.serial_fallback
-        assert process_results == inline_results
-        assert process.flow == inline.flow
-        assert process.sync_rounds == inline.sync_rounds
-        assert (
-            process.router.messages_crossed
-            == inline.router.messages_crossed
-        )
-
-    def test_spec_picklable_accepts_module_level_factory(self):
-        coordinator = ShardedSimulator(_echo_workload, shards=2, seed=1)
-        assert coordinator._spec_picklable()
-        pickle.dumps((coordinator.factory, coordinator.kwargs))
+    def test_second_run_starts_afresh(self):
+        coordinator = ShardedSimulator(_echo_workload(), shards=2, seed=1)
+        runs = []
+        for _ in range(2):
+            results = coordinator.run()
+            runs.append((
+                results, coordinator.flow, coordinator.sync_rounds,
+                coordinator.horizon_stalls,
+                coordinator.router.messages_crossed,
+            ))
+        assert runs[0] == runs[1]
+        assert runs[0][4] == 4
 
 
 def _lossy_workload():
@@ -336,14 +311,12 @@ def _default_latency_workload():
 def _late_start_workload():
     """First event at t=1.0 with a lookahead too small to advance."""
     workload = _echo_workload()
-    from repro.net.latency import ConstantLatency as _CL
-
     return ShardWorkload(
         name="vanishing_lookahead",
         node_ids=workload.node_ids,
         build=workload.build,
         collect=workload.collect,
-        latency_factory=lambda streams: _CL(1e-300),
+        latency_factory=lambda streams: ConstantLatency(1e-300),
         horizon=workload.horizon,
     )
 
@@ -354,7 +327,7 @@ class TestObservationAndFaults:
 
         tracer, metrics = Tracer(), Metrics()
         with observe(tracer=tracer, metrics=metrics):
-            coordinator = ShardedSimulator(_echo_workload, shards=2, seed=1)
+            coordinator = ShardedSimulator(_echo_workload(), shards=2, seed=1)
         coordinator.run()
         syncs = list(tracer.iter_kind("shard_sync"))
         envelopes = list(tracer.iter_kind("shard_envelope"))
@@ -375,7 +348,7 @@ class TestObservationAndFaults:
         for name in ("a.jsonl", "b.jsonl"):
             tracer = Tracer()
             ShardedSimulator(
-                _echo_workload, shards=2, seed=1, tracer=tracer
+                _echo_workload(), shards=2, seed=1, tracer=tracer
             ).run()
             path = tmp_path / name
             tracer.write_jsonl(str(path))
@@ -383,7 +356,7 @@ class TestObservationAndFaults:
         assert paths[0] == paths[1]
 
     def test_remote_send_respects_loss_rate(self):
-        coordinator = ShardedSimulator(_lossy_workload, shards=2, seed=1)
+        coordinator = ShardedSimulator(_lossy_workload(), shards=2, seed=1)
         coordinator.run()
         flow = coordinator.flow
         assert flow["dropped"] > 0
@@ -403,67 +376,18 @@ class TestObservationAndFaults:
 
     def test_default_latency_model_when_factory_is_none(self):
         coordinator = ShardedSimulator(
-            _default_latency_workload, shards=2, seed=1
+            _default_latency_workload(), shards=2, seed=1
         )
         results = coordinator.run()
         assert sum(r["seen"] for r in results) == 4
 
     def test_vanishing_lookahead_raises_instead_of_spinning(self):
-        coordinator = ShardedSimulator(_late_start_workload, shards=2, seed=1)
+        coordinator = ShardedSimulator(
+            _late_start_workload(), shards=2, seed=1
+        )
         with pytest.raises(SimulationError, match="lookahead"):
             coordinator.run()
 
-    def test_live_flow_is_none_for_process_shards(self):
-        coordinator = ShardedSimulator(
-            _echo_workload, shards=2, seed=1, mode="process"
-        )
-        observed = []
-        coordinator.run(
-            on_sync=lambda r, t: observed.append(coordinator.live_flow())
-        )
-        assert observed and all(flow is None for flow in observed)
-
-
-class _FakePipe:
-    """In-process stand-in for one end of a multiprocessing.Pipe."""
-
-    def __init__(self, commands):
-        self.commands = list(commands)
-        self.sent = []
-
-    def recv(self):
-        return self.commands.pop(0)
-
-    def send(self, message):
-        self.sent.append(message)
-
-
-class TestWorkerProtocol:
-    def test_worker_serves_windows_then_finishes(self):
-        conn = _FakePipe([
-            ("window", 1.05, False, []),
-            ("window", 2.0, False, []),
-            ("finish", 20.0),
-        ])
-        _shard_worker(conn, _echo_workload, {}, 2, 1, 0, None)
-        tags = [message[0] for message in conn.sent]
-        assert tags == ["ready", "window_done", "window_done", "result"]
-        # Shard 0 owns "left": the first window fires the 1.0 send and
-        # exports it as one envelope; nothing local remains after.
-        _tag, _next_time, outbox = conn.sent[1]
-        assert len(outbox) == 1
-        _tag, collected, flow = conn.sent[-1]
-        assert set(flow) == {"sent", "delivered", "dropped", "in_flight"}
-        assert collected == {"seen": 0}
-
-    def test_worker_relays_crashes_as_error(self):
-        def broken_factory():
-            raise RuntimeError("boom")
-
-        conn = _FakePipe([])
-        with pytest.raises(RuntimeError):
-            _shard_worker(conn, broken_factory, {}, 2, 1, 0, None)
-        assert conn.sent == [("error", "RuntimeError: boom")]
 
 
 class TestRunSingleProcess:

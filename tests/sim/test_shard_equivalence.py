@@ -6,26 +6,28 @@ says the *same* per-node streams drive the same draws regardless of
 which shard owns a node, so for any shard count ``K`` every workload
 aggregate must equal the unsharded reference — integer counters
 exactly, latency percentiles to float round-off.  ``K == 1`` is held
-to full identity (including the flow snapshot), and a fixed
-``(seed, K)`` run twice must be byte-identical.
+to full identity (including the flow snapshot) for every driver
+workload, and a fixed ``(seed, K)`` run twice must be byte-identical.
 
 Workloads come from :mod:`repro.analysis.shard_driver`: the E5
 ping-mesh (placed PlanetLatency, optional churn — the richest
-randomness surface) and the E4 federation models (failures plus
-fan-out traffic).
+randomness surface), the E4 federation models (failures plus fan-out
+traffic), and the E6-class registration smoke (retry schedules).
 """
 
 import json
 import os
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.shard_driver import (
     _federation_shard_point,
     _ping_mesh_point,
     federation_workload,
+    ping_mesh_workload,
+    registration_workload,
 )
 from repro.sim.shard import ShardedSimulator, run_single_process
 
@@ -50,7 +52,7 @@ FLOAT_KEYS = ("rtt_p50_ms", "rtt_p95_ms")
 
 def mesh_point(config, seed, shards, engine="shard"):
     return _ping_mesh_point(
-        seed=seed, shards=shards, mode="inline", engine=engine, **config
+        seed=seed, shards=shards, engine=engine, **config
     )
 
 
@@ -95,6 +97,15 @@ federation_configs = st.fixed_dictionaries({
 FEDERATION_KEYS = ("users_complete", "messages_read", "posts_stored")
 
 
+def clamp_failures(config):
+    """At least one federation server stays up."""
+    config = dict(config)
+    config["failed_servers"] = min(
+        config["failed_servers"], config["n_servers"] - 1
+    )
+    return config
+
+
 class TestFederationEquivalence:
     @SETTINGS
     @given(config=federation_configs, seed=seeds,
@@ -102,13 +113,10 @@ class TestFederationEquivalence:
     def test_sharded_aggregates_equal_single_process(
         self, config, seed, shards
     ):
-        config = dict(config)
-        config["failed_servers"] = min(
-            config["failed_servers"], config["n_servers"] - 1
-        )
+        config = clamp_failures(config)
         reference = run_single_process(federation_workload(**config), seed)
         sharded = _federation_shard_point(
-            seed=seed, shards=shards, mode="inline", **config
+            seed=seed, shards=shards, **config
         )
         merged = {
             "users_complete": sharded["users_complete"],
@@ -119,18 +127,39 @@ class TestFederationEquivalence:
         assert merged == expected, (config, seed, shards)
 
 
+registration_configs = st.fixed_dictionaries({
+    "n_clients": st.integers(min_value=1, max_value=8),
+    "retry_every": st.sampled_from((5.0, 10.0, 25.0)),
+})
+
+WORKLOADS = {
+    "ping_mesh": ping_mesh_workload,
+    "federation": federation_workload,
+    "registration": registration_workload,
+}
+
+workload_cases = st.one_of(
+    st.tuples(st.just("ping_mesh"), mesh_configs),
+    st.tuples(st.just("federation"), federation_configs.map(clamp_failures)),
+    st.tuples(st.just("registration"), registration_configs),
+)
+
+
 class TestK1Identity:
     @SETTINGS
-    @given(config=mesh_configs, seed=seeds)
-    def test_k1_run_is_fully_identical_to_single_process(
-        self, config, seed
-    ):
-        from repro.analysis.shard_driver import ping_mesh_workload
-
-        reference = run_single_process(ping_mesh_workload(**config), seed)
-        coordinator = ShardedSimulator(
-            ping_mesh_workload, dict(config), shards=1, seed=seed
-        )
+    @given(case=workload_cases, seed=seeds)
+    @example(case=("ping_mesh", {}), seed=7)
+    @example(case=("federation", {"model_name": "single_home"}), seed=7)
+    @example(case=("federation", {"model_name": "replicated"}), seed=7)
+    @example(
+        case=("federation", {"model_name": "replicated_failover"}), seed=7
+    )
+    @example(case=("registration", {}), seed=7)
+    def test_k1_run_is_fully_identical_to_single_process(self, case, seed):
+        name, config = case
+        workload = WORKLOADS[name](**config)
+        reference = run_single_process(workload, seed)
+        coordinator = ShardedSimulator(workload, shards=1, seed=seed)
         results = coordinator.run()
         assert len(results) == 1
         merged = dict(results[0])
