@@ -2,10 +2,11 @@
 
 Each body does a fixed, seed-derived amount of work against the
 primitive it names — the event loop, a transport leg, an RPC
-round-trip, a named RNG stream, the metrics histogram — and records
-work counters into the harness-supplied registry.  Sizes are chosen so
-a body lands in the low tens of milliseconds: long enough to time
-meaningfully, short enough that CI can afford repetitions.
+round-trip, a DHT lookup, a named RNG stream, the metrics histogram —
+and records work counters into the harness-supplied registry.  Sizes
+are chosen so a body lands in the low tens of milliseconds: long
+enough to time meaningfully, short enough that CI can afford
+repetitions.
 
 Per the BEN001 contract, nothing here reads the host clock; the harness
 (:mod:`repro.bench.harness`) does all timing.
@@ -16,6 +17,7 @@ from __future__ import annotations
 from typing import Any, Generator
 
 from repro.bench.registry import register_benchmark
+from repro.net.latency import ConstantLatency
 from repro.net.node import Node
 from repro.net.transport import Network
 from repro.obs.metrics import Histogram, Metrics
@@ -24,6 +26,7 @@ from repro.sim.rng import RngStreams, seeded_rng
 
 __all__ = [
     "bench_cohort_step",
+    "bench_dht_lookup",
     "bench_engine_schedule_fire_cancel",
     "bench_histogram_observe_merge",
     "bench_lint_index",
@@ -48,6 +51,8 @@ _LINT_SIM_MODULES = 84
 _SHARD_NODES = 6
 _SHARD_HOPS = 40
 _SHARD_COUNT = 2
+_DHT_NODES = 32
+_DHT_PAIRS = 20
 
 
 def _noop() -> None:
@@ -106,10 +111,33 @@ def bench_rpc_roundtrip(metrics: Metrics) -> None:
     sim.run_process(client(sim, network), name="bench.rpc_client")
 
 
+@register_benchmark(
+    "micro.dht.lookup", "micro",
+    "Kademlia overlay join plus put/get pairs (iterative lookups)",
+)
+def bench_dht_lookup(metrics: Metrics) -> None:
+    from repro.dht.kademlia import build_overlay
+
+    sim = Simulator(metrics=metrics)
+    network = Network(sim, RngStreams(5003), latency=ConstantLatency(0.02))
+    names = [f"d{i:02d}" for i in range(_DHT_NODES)]
+    overlay = build_overlay(network, names)
+
+    def pairs() -> Generator:
+        for i in range(_DHT_PAIRS):
+            key = f"bench-key-{i}"
+            acked = yield from overlay[names[(7 * i) % _DHT_NODES]].put(key, i)
+            metrics.inc("bench.dht_acked", acked)
+            value = yield from overlay[names[(11 * i + 3) % _DHT_NODES]].get(key)
+            if value == i:
+                metrics.inc("bench.dht_gets_ok")
+
+    sim.run_process(pairs(), name="bench.dht_pairs")
+
+
 def _shard_token_workload() -> Any:
     """A token ring across shards: every hop is a barrier crossing
     candidate, so the body is dominated by the sync loop itself."""
-    from repro.net.latency import ConstantLatency
     from repro.sim.shard import Shard, ShardWorkload
 
     ids = tuple(f"r{i}" for i in range(_SHARD_NODES))

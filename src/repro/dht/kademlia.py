@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
-from repro.dht.nodeid import key_for, node_id_for, xor_distance
+from repro.dht.nodeid import _check_id, key_for, node_id_for
 from repro.dht.routing import Contact, RoutingTable
 from repro.errors import (
     DHTError,
@@ -199,8 +199,11 @@ class KademliaNode:
     def _iterative(self, target_id: int, find_value: bool) -> Generator:
         """The shared iterative-lookup core.
 
-        Returns ``(closest_contacts, value, found)``.
+        Returns ``(closest_contacts, value, found)``.  The target is
+        validated here once; every shortlisted contact's id was validated
+        when the routing table observed it, so ranking uses raw XOR.
         """
+        _check_id(target_id)
         shortlist: Dict[str, Contact] = {
             c.name: c for c in self.table.closest(target_id, self.config.k)
         }
@@ -213,7 +216,7 @@ class KademliaNode:
                     c for c in shortlist.values()
                     if c.name not in queried and c.name not in failed
                 ),
-                key=lambda c: xor_distance(c.dht_id, target_id),
+                key=lambda c: c.dht_id ^ target_id,
             )[: self.config.alpha]
             if not candidates:
                 break
@@ -241,20 +244,20 @@ class KademliaNode:
                     if name == self.node.node_id or name in failed:
                         continue
                     if name not in shortlist:
-                        shortlist[name] = Contact(name, dht_id)
-                        self.table.observe(Contact(name, dht_id))
+                        peer = Contact(name, dht_id)
+                        self.table.observe(peer)  # validates dht_id
+                        shortlist[name] = peer
             # Termination: the k closest in the shortlist have all been
             # queried (no unqueried candidate remains among them).
             best = sorted(
-                shortlist.values(),
-                key=lambda c: xor_distance(c.dht_id, target_id),
+                shortlist.values(), key=lambda c: c.dht_id ^ target_id
             )[: self.config.k]
             if all(c.name in queried for c in best):
                 break
 
         closest = sorted(
             (shortlist[name] for name in queried if name in shortlist),
-            key=lambda c: xor_distance(c.dht_id, target_id),
+            key=lambda c: c.dht_id ^ target_id,
         )[: self.config.k]
         return (closest, None, False)
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from repro.crypto.hashing import sha256
 from repro.errors import DHTError
 
@@ -11,8 +13,14 @@ ID_BITS = 160
 _ID_MASK = (1 << ID_BITS) - 1
 
 
+@lru_cache(maxsize=1 << 16)
 def node_id_for(name: str) -> int:
-    """Derive a 160-bit Kademlia id from a node name (SHA-256 truncated)."""
+    """Derive a 160-bit Kademlia id from a node name (SHA-256 truncated).
+
+    Pure, so memoized: every incoming DHT RPC derives its sender's id.
+    The cache is bounded so a long process naming many nodes cannot
+    grow it without limit.
+    """
     digest = sha256(f"dht-node:{name}".encode("utf-8"))
     return int.from_bytes(digest, "big") & _ID_MASK
 

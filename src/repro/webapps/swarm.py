@@ -57,10 +57,15 @@ class SiteSwarm:
     # -- seeding lifecycle --------------------------------------------------------
 
     def seed(self, peer_id: str, bundle: SiteBundle) -> Generator:
-        """Start seeding a (verified) bundle and announce to the tracker."""
+        """Verify a bundle, start seeding it and announce to the tracker."""
         self.register_peer(peer_id)
         if not bundle.verify():
             raise WebAppError("refusing to seed an unverifiable bundle")
+        return (yield from self._seed_verified(peer_id, bundle))
+
+    def _seed_verified(self, peer_id: str, bundle: SiteBundle) -> Generator:
+        """:meth:`seed` for a registered peer and a bundle already verified
+        (the one :meth:`visit` just returned)."""
         existing = self._seeding[peer_id].get(bundle.manifest.site_address)
         if existing is None or existing.manifest.version < bundle.manifest.version:
             self._seeding[peer_id][bundle.manifest.site_address] = bundle
@@ -197,6 +202,11 @@ class VisitorProcess:
             self.stats.failures += 1
             return
         self.stats.successes += 1
-        yield from self.swarm.seed(visitor_id, bundle)
+        try:
+            yield from self.swarm._seed_verified(visitor_id, bundle)
+        except (RpcTimeoutError, RemoteError):
+            # The tracker missed the announce.  The visit still succeeded
+            # and the visitor keeps serving its copy until it leaves.
+            self.swarm.monitor.counters.increment("seed_announces_failed")
         yield self._rng.expovariate(1.0 / self.mean_seed_time)
         yield from self.swarm.stop_seeding(visitor_id, self.site)

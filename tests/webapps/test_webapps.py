@@ -361,3 +361,53 @@ class TestMaliciousSeeder:
 
         assert sim.run_process(scenario()) == "unavailable-but-never-fooled"
         assert swarm.monitor.counters.get("bad_bundles_rejected") >= 1
+
+
+class TestVisitorSeeding:
+    @staticmethod
+    def run_until(sim, swarm, streams, address, horizon):
+        population = VisitorProcess(
+            swarm, address, streams, arrival_rate=2.0, mean_seed_time=20.0
+        )
+        population.start()
+        sim.run(until=horizon)
+        population.stop()
+        sim.run()  # drain: visits in flight finish, seeders leave
+        return population.stats
+
+    def test_fetched_bundle_verified_once(self, monkeypatch):
+        verified = []
+        original = SiteBundle.verify
+
+        def counting(bundle):
+            verified.append(bundle)
+            return original(bundle)
+
+        monkeypatch.setattr(SiteBundle, "verify", counting)
+        sim, streams, network, tracker, swarm = make_env(71)
+        bundle = make_site().publish()
+        address = bundle.manifest.site_address
+        sim.spawn(swarm.seed("author", bundle))
+        stats = self.run_until(sim, swarm, streams, address, horizon=60.0)
+        assert stats.successes > 50
+        # One check for the author's public seed(), one per fetch.
+        assert len(verified) == 1 + stats.successes
+
+    def test_tracker_outage_after_fetch_does_not_crash(self):
+        # The tracker dies at staggered instants; some land between a
+        # visitor's successful fetch and its announce.
+        failed_announces = 0
+        for i in range(24):
+            sim, streams, network, tracker, swarm = make_env(1)
+            bundle = make_site().publish()
+            address = bundle.manifest.site_address
+            sim.spawn(swarm.seed("author", bundle))
+            sim.schedule(
+                50.0 + i * 0.013,
+                lambda: network.node(tracker.tracker_id).set_online(False, sim.now),
+            )
+            stats = self.run_until(sim, swarm, streams, address, horizon=80.0)
+            assert stats.arrivals == stats.successes + stats.failures
+            assert swarm.seeders_of(address) == ["author"]
+            failed_announces += swarm.monitor.counters.get("seed_announces_failed")
+        assert failed_announces > 0
