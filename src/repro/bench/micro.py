@@ -30,6 +30,7 @@ __all__ = [
     "bench_engine_schedule_fire_cancel",
     "bench_histogram_observe_merge",
     "bench_lint_index",
+    "bench_pfed_reconcile",
     "bench_rng_stream_draw",
     "bench_rpc_roundtrip",
     "bench_shard_sync",
@@ -53,6 +54,10 @@ _SHARD_HOPS = 40
 _SHARD_COUNT = 2
 _DHT_NODES = 32
 _DHT_PAIRS = 20
+_PFED_HUBS = 4
+_PFED_KEYS = 320
+_PFED_BURST = 24
+_PFED_ROUNDS = 24
 
 
 def _noop() -> None:
@@ -133,6 +138,53 @@ def bench_dht_lookup(metrics: Metrics) -> None:
                 metrics.inc("bench.dht_gets_ok")
 
     sim.run_process(pairs(), name="bench.dht_pairs")
+
+
+@register_benchmark(
+    "micro.pfed.reconcile", "micro",
+    "partial-federation anti-entropy: 4 hubs converge on 320 keys, then"
+    " a 24-write burst and 24 reconciliation rounds",
+)
+def bench_pfed_reconcile(metrics: Metrics) -> None:
+    from repro.groupcomm.partial import PartialFederation
+
+    sim = Simulator(metrics=metrics)
+    streams = RngStreams(6007)
+    network = Network(sim, streams, latency=ConstantLatency(0.01))
+    hubs = [f"h{i}" for i in range(_PFED_HUBS)]
+    federation = PartialFederation(network, hubs, streams)
+
+    def write(index: int, version: int) -> None:
+        # Local store writes, not posts: no eager push, so only the
+        # reconciliation rounds move them.
+        home = hubs[index % _PFED_HUBS]
+        federation.hub(home).store.write(
+            f"state/bench/k{index}",
+            {"entry": "state", "value": version, "public": index % 2 == 0},
+            home,
+        )
+
+    def rounds(count: int) -> Generator:
+        # A ring schedule: hub i reconciles with hub i+1.  Every peer
+        # runs the default ``full`` policy, so a digest carries the
+        # serving hub's whole store.
+        for index in range(count):
+            server = hubs[index % _PFED_HUBS]
+            peer = hubs[(index + 1) % _PFED_HUBS]
+            metrics.inc("bench.pfed_digest_keys",
+                        len(federation.hub(peer).store))
+            yield from federation.reconcile_with(server, peer)
+
+    for index in range(_PFED_KEYS):
+        write(index, 0)
+    sim.run_process(rounds(2 * _PFED_HUBS), name="bench.pfed_converge")
+    for index in range(_PFED_BURST):
+        write((7 * index) % (_PFED_KEYS + _PFED_BURST), 1)
+    sim.run_process(rounds(_PFED_ROUNDS), name="bench.pfed_rounds")
+    metrics.inc("bench.pfed_rounds",
+                sum(federation.hub(h).rounds for h in hubs))
+    metrics.inc("bench.pfed_items_transferred",
+                sum(federation.hub(h).items_transferred for h in hubs))
 
 
 def _shard_token_workload() -> Any:

@@ -14,7 +14,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Generator,
+    ItemsView,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+)
 
 from repro.errors import NetworkError, RemoteError, RpcTimeoutError
 from repro.net.node import Node
@@ -22,6 +32,8 @@ from repro.net.transport import Network
 from repro.sim.rng import RngStreams
 
 __all__ = ["Versioned", "ReplicaStore", "AntiEntropyNode"]
+
+Stamp = Tuple[int, str, str]
 
 
 @dataclass(frozen=True)
@@ -32,11 +44,15 @@ class Versioned:
     writer reusing a counter with different values: the value hash breaks
     that tie deterministically, so replicas always converge.
 
-    The stamp is computed on first read and cached on the instance, so
-    ``value`` must not be mutated after construction: a changed value
+    The stamp is computed once and cached on the instance; the replica
+    stores read it as the item enters them, to keep their stamp views.
+    So ``value`` must not be mutated after construction: a changed value
     would keep its old stamp.  Build a new ``Versioned`` (or use
     ``dataclasses.replace``) instead.  Nothing enforces this yet; a
     copying message boundary is the planned enforcement (ROADMAP item 5).
+    A ``Versioned`` received over the wire is rebuilt from its fields, so
+    its receiver hashes it; stamps carried in digests are never trusted
+    as content ids.
     """
 
     value: Any
@@ -44,17 +60,23 @@ class Versioned:
     writer: str
 
     @cached_property
-    def stamp(self) -> Tuple[int, str, str]:
+    def stamp(self) -> Stamp:
         from repro.crypto.hashing import hash_obj
 
         return (self.counter, self.writer, hash_obj(self.value))
 
 
 class ReplicaStore:
-    """Key -> versioned value, merged by last-writer-wins."""
+    """Key -> versioned value, merged by last-writer-wins.
+
+    The store keeps a stamp view, key -> stamp for every entry, current
+    on every ``write`` and ``merge``: a stamp is computed when its item
+    enters the store, and serving a digest is a dict copy.
+    """
 
     def __init__(self) -> None:
         self._items: Dict[str, Versioned] = {}
+        self._stamps: Dict[str, Stamp] = {}
         self._clock = 0
 
     def __len__(self) -> int:
@@ -66,15 +88,22 @@ class ReplicaStore:
     def keys(self) -> List[str]:
         return list(self._items)
 
+    def items(self) -> ItemsView[str, Versioned]:
+        return self._items.items()
+
     def get(self, key: str) -> Optional[Any]:
         item = self._items.get(key)
         return item.value if item is not None else None
+
+    def _set(self, key: str, item: Versioned) -> None:
+        self._items[key] = item
+        self._stamps[key] = item.stamp
 
     def write(self, key: str, value: Any, writer: str) -> Versioned:
         """A local write: bumps the Lamport clock past anything seen."""
         self._clock += 1
         item = Versioned(value, self._clock, writer)
-        self._items[key] = item
+        self._set(key, item)
         return item
 
     def merge(self, key: str, incoming: Versioned) -> bool:
@@ -84,15 +113,19 @@ class ReplicaStore:
         also advances the local clock so later local writes win.
         """
         self._clock = max(self._clock, incoming.counter)
-        current = self._items.get(key)
-        if current is None or incoming.stamp > current.stamp:
-            self._items[key] = incoming
+        current = self._stamps.get(key)
+        if current is None or incoming.stamp > current:
+            self._set(key, incoming)
             return True
         return False
 
-    def digest(self) -> Dict[str, Tuple[int, str]]:
+    def stamps(self) -> Mapping[str, Stamp]:
+        """The live stamp view (read-only: copy it before handing it out)."""
+        return self._stamps
+
+    def digest(self) -> Dict[str, Stamp]:
         """Version stamps for every key (sent during reconciliation)."""
-        return {key: item.stamp for key, item in self._items.items()}
+        return dict(self._stamps)
 
     def item(self, key: str) -> Versioned:
         return self._items[key]
@@ -130,7 +163,7 @@ class AntiEntropyNode:
 
     # -- server handlers ------------------------------------------------------
 
-    def _on_digest(self, node: Node, payload: Any, sender: str) -> Dict[str, Tuple[int, str]]:
+    def _on_digest(self, node: Node, payload: Any, sender: str) -> Dict[str, Stamp]:
         return self.store.digest()
 
     def _on_pull(self, node: Node, payload: Any, sender: str) -> Dict[str, dict]:
@@ -192,19 +225,23 @@ class AntiEntropyNode:
             )
         except (RpcTimeoutError, RemoteError, NetworkError):
             return False
-        mine = self.store.digest()
+        mine = self.store.stamps()
+        if their_digest == mine:
+            # Equal digests: nothing to pull and nothing to push.
+            self.rounds += 1
+            return True
         to_pull = [
             key for key, stamp in their_digest.items()
             if key not in mine or tuple(stamp) > mine[key]
         ]
         to_push = {
             key: {
-                "value": self.store.item(key).value,
-                "counter": self.store.item(key).counter,
-                "writer": self.store.item(key).writer,
+                "value": item.value,
+                "counter": item.counter,
+                "writer": item.writer,
             }
-            for key, stamp in mine.items()
-            if key not in their_digest or stamp > tuple(their_digest[key])
+            for key, item in self.store.items()
+            if key not in their_digest or item.stamp > tuple(their_digest[key])
         }
         try:
             if to_pull:

@@ -48,6 +48,7 @@ from typing import (
     Dict,
     Generator,
     List,
+    Mapping,
     Optional,
     Set,
     Tuple,
@@ -59,7 +60,7 @@ from repro.errors import (
     RemoteError,
     RpcTimeoutError,
 )
-from repro.gossip.antientropy import Versioned
+from repro.gossip.antientropy import Stamp, Versioned
 from repro.groupcomm.federated import FederationBase
 from repro.groupcomm.messages import Message
 from repro.net.node import Node
@@ -80,7 +81,9 @@ __all__ = [
     "make_strategy",
 ]
 
-Stamp = Tuple[int, str, str]
+_SHARE_NONE = "none"
+_SHARE_ALL = "all"
+_SHARE_PUBLIC = "public"
 
 
 class FederationPolicy:
@@ -234,10 +237,18 @@ class PartialReplicaStore:
     fast-forward (adopted without consulting the strategy), and the
     mirror case is stale (ignored).  Anything else is a genuine
     divergence handed to the :class:`ConflictStrategy`.
+
+    The store keeps two stamp views, key -> stamp: one over every entry
+    and one over the public entries (``value['public']`` set).  Every
+    change goes through one setter that updates both, so a stamp is
+    computed when its item enters the store and a hub serves a
+    policy-filtered digest by copying one view.
     """
 
     def __init__(self) -> None:
         self._items: Dict[str, Versioned] = {}
+        self._stamps: Dict[str, Stamp] = {}
+        self._public_stamps: Dict[str, Stamp] = {}
         self._clock = 0
 
     def __len__(self) -> int:
@@ -256,23 +267,41 @@ class PartialReplicaStore:
     def item(self, key: str) -> Versioned:
         return self._items[key]
 
+    def stamps(self) -> Mapping[str, Stamp]:
+        """The live view over every entry (read-only: copy it before
+        handing it out)."""
+        return self._stamps
+
+    def public_stamps(self) -> Mapping[str, Stamp]:
+        """The live view over public entries (read-only, like
+        :meth:`stamps`)."""
+        return self._public_stamps
+
     def digest(self) -> Dict[str, Stamp]:
-        return {key: item.stamp for key, item in self._items.items()}
+        return dict(self._stamps)
+
+    def _set(self, key: str, item: Versioned) -> None:
+        self._items[key] = item
+        stamp = self._stamps[key] = item.stamp
+        if isinstance(item.value, dict) and item.value.get("public", False):
+            self._public_stamps[key] = stamp
+        else:
+            self._public_stamps.pop(key, None)
 
     def write(self, key: str, value: Dict[str, Any], writer: str) -> Versioned:
         """A local write: bumps the clock, records the replaced stamp."""
-        current = self._items.get(key)
+        current = self._stamps.get(key)
         value = dict(value)
-        value["prev"] = list(current.stamp) if current is not None else None
+        value["prev"] = list(current) if current is not None else None
         self._clock += 1
         item = Versioned(value, self._clock, writer)
-        self._items[key] = item
+        self._set(key, item)
         return item
 
     def adopt(self, key: str, item: Versioned) -> None:
         """Install ``item`` verbatim (conflict winner / fast-forward)."""
         self._clock = max(self._clock, item.counter)
-        self._items[key] = item
+        self._set(key, item)
 
     def merge(
         self,
@@ -292,12 +321,12 @@ class PartialReplicaStore:
         self._clock = max(self._clock, incoming.counter)
         current = self._items.get(key)
         if current is None:
-            self._items[key] = incoming
+            self._set(key, incoming)
             return "adopted"
         if incoming.stamp == current.stamp:
             return "duplicate"
         if _prev_stamp(incoming) == current.stamp:
-            self._items[key] = incoming
+            self._set(key, incoming)
             return "fast_forward"
         if _prev_stamp(current) == incoming.stamp:
             return "stale"
@@ -306,7 +335,7 @@ class PartialReplicaStore:
             return "queued"
         if winner.stamp == current.stamp:
             return "resolved_kept"
-        self._items[key] = winner
+        self._set(key, winner)
         return "resolved_adopted"
 
 
@@ -332,6 +361,10 @@ class FederationHub:
         self.conflicts_resolved = 0
         self.rounds = 0
         self.items_transferred = 0
+        # key -> (stored item, the Message read from it): a reader's
+        # message is rebuilt, and its id hashed, only when the key's
+        # stored item changes.
+        self._messages: Dict[str, Tuple[Versioned, Message]] = {}
 
     # -- peer management --------------------------------------------------
 
@@ -411,17 +444,53 @@ class FederationHub:
 
     # -- policy gates ------------------------------------------------------
 
-    def shares_with(self, peer: FederationPeer, value: Dict[str, Any]) -> bool:
-        """Would this hub send ``value`` to ``peer``?"""
+    def _share_scope(self, peer: FederationPeer) -> str:
+        """Which entries this hub shares with ``peer``: ``"none"``,
+        ``"all"`` or ``"public"`` — the one predicate behind both
+        :meth:`shares_with` and :meth:`digest_view`."""
         if not peer.active or peer.policy == FederationPolicy.NONE:
-            return False
-        if peer.policy == FederationPolicy.FULL:
-            return True
+            return _SHARE_NONE
         # FILTERED: public entries flow freely; private entries only to
         # peers trusted at or above the federation threshold.
-        if value.get("public", False):
-            return True
-        return peer.trust_level >= self.federation.trust_threshold
+        if (peer.policy == FederationPolicy.FULL
+                or peer.trust_level >= self.federation.trust_threshold):
+            return _SHARE_ALL
+        return _SHARE_PUBLIC
+
+    def shares_with(self, peer: FederationPeer, value: Dict[str, Any]) -> bool:
+        """Would this hub send ``value`` to ``peer``?"""
+        scope = self._share_scope(peer)
+        if scope == _SHARE_PUBLIC:
+            return bool(value.get("public", False))
+        return scope == _SHARE_ALL
+
+    def digest_view(self, peer: FederationPeer) -> Mapping[str, Stamp]:
+        """Key -> stamp for every entry :meth:`shares_with` admits for
+        ``peer``: one of the store's live views (read-only)."""
+        scope = self._share_scope(peer)
+        if scope == _SHARE_ALL:
+            return self.store.stamps()
+        if scope == _SHARE_PUBLIC:
+            return self.store.public_stamps()
+        return {}
+
+    def message(self, key: str) -> Message:
+        """The stored message under ``key``, rebuilt only when the
+        stored item changed since the last read.  Its id is hashed from
+        the stored content, never taken from the key, which a peer
+        chose."""
+        item = self.store.item(key)
+        cached = self._messages.get(key)
+        if cached is not None and cached[0] is item:
+            return cached[1]
+        raw = item.value
+        message = Message(
+            author=raw["author"], room=raw["room"], body=raw["body"],
+            sent_at=raw["sent_at"], encrypted=raw["encrypted"],
+            seq=raw["seq"],
+        )
+        self._messages[key] = (item, message)
+        return message
 
     def accepts_from(self, sender: str, value: Dict[str, Any]) -> bool:
         """Would this hub adopt ``value`` arriving from ``sender``?
@@ -661,20 +730,13 @@ class PartialFederation(FederationBase):
         def handler(node: Node, payload: dict, sender: str) -> Dict[str, Stamp]:
             # Only advertise what policy would let this hub share with
             # the requesting peer — a `none`/untrusted peer learns
-            # nothing from digests (the metadata-leak gate).  Stamps go
-            # out as the stores' cached tuples; readers tuple() them.
+            # nothing from digests (the metadata-leak gate).  The reply
+            # is a copy, so the requester cannot reach the live view.
             hub = self.hubs[server_id]
             peer = hub.peers.get(sender)
-            if peer is None or not hub.federates_with(sender):
+            if peer is None:
                 return {}
-            return {
-                key: item.stamp
-                for key, item in (
-                    (key, hub.store.item(key))
-                    for key in sorted(hub.store.keys())
-                )
-                if hub.shares_with(peer, item.value)
-            }
+            return dict(hub.digest_view(peer))
 
         return handler
 
@@ -767,17 +829,22 @@ class PartialFederation(FederationBase):
             )
         except (RpcTimeoutError, RemoteError, NetworkError):
             return False
-        mine = hub.store.digest()
+        view = hub.digest_view(peer)
+        if their_digest == view:
+            # Equal digests: nothing to pull and nothing to push.
+            hub.rounds += 1
+            self._count("fed.gossip_rounds")
+            return True
+        stamps = hub.store.stamps()
         to_pull = [
             key for key, stamp in their_digest.items()
-            if key not in mine or tuple(stamp) != mine[key]
+            if stamps.get(key) != tuple(stamp)
         ]
+        # The view holds exactly the entries this peer may see.
         to_push = {
             key: _versioned_to_wire(hub.store.item(key))
-            for key, stamp in mine.items()
-            if (key not in their_digest
-                or tuple(their_digest[key]) != stamp)
-            and hub.shares_with(peer, hub.store.item(key).value)
+            for key, stamp in view.items()
+            if key not in their_digest or tuple(their_digest[key]) != stamp
         }
         try:
             if to_pull:
@@ -941,17 +1008,12 @@ class PartialFederation(FederationBase):
         )
 
     def _room_messages(self, server_id: str, room_id: str) -> List[Message]:
-        store = self.hubs[server_id].store
-        messages = []
+        hub = self.hubs[server_id]
         prefix = f"msg/{room_id}/"
-        for key in store.keys():
-            if key.startswith(prefix):
-                raw = store.get(key)
-                messages.append(Message(
-                    author=raw["author"], room=raw["room"], body=raw["body"],
-                    sent_at=raw["sent_at"], encrypted=raw["encrypted"],
-                    seq=raw["seq"],
-                ))
+        messages = [
+            hub.message(key) for key in hub.store.keys()
+            if key.startswith(prefix)
+        ]
         return sorted(messages, key=lambda m: (m.sent_at, m.msg_id))
 
     def server_metadata_view(self, server_id: str) -> List[Dict[str, Any]]:

@@ -1,17 +1,22 @@
 """Content hashes are computed once per object and stay true.
 
-``Versioned.stamp`` and ``Message.msg_id`` are cached on first read.
-These tests pin both halves of that contract:
+``Versioned.stamp`` and ``Message.msg_id`` are cached on first read;
+the replica stores read a stamp as its item enters them.  These tests
+pin the contract:
 
 * integrity — after full E4/E4P/E5 runs, every cached stamp and message
   id still equals a hash recomputed from scratch, so no code path
   mutates a stored value in place;
-* budget — steady-state anti-entropy between converged replicas and a
-  single-home push into an existing timeline do not re-hash what they
-  already hold.
+* budget — steady-state anti-entropy between converged replicas, a
+  single-home push into an existing timeline and repeated reads of one
+  room do not re-hash what they already hold, and a converged partial
+  federation round does no per-key policy work;
+* isolation — a served digest is a copy, so its receiver cannot reach
+  the server's stamp view.
 """
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
@@ -26,7 +31,12 @@ from repro.faults import preset_plan, run_chaos
 from repro.gossip import AntiEntropyNode, ReplicaStore, Versioned
 from repro.groupcomm import SingleHomeFederation
 from repro.groupcomm.messages import Message
-from repro.groupcomm.partial import PartialFederation, PartialReplicaStore
+from repro.groupcomm.partial import (
+    FederationHub,
+    FederationPolicy,
+    PartialFederation,
+    PartialReplicaStore,
+)
 from repro.net import ConstantLatency, Network
 from repro.sim import RngStreams, Simulator
 
@@ -194,3 +204,121 @@ class TestHashBudget:
         message = Message(author="a", room="r", body="b", sent_at=1.0)
         message.msg_id
         assert message == Message(author="a", room="r", body="b", sent_at=1.0)
+
+
+def converged_partial(policy=FederationPolicy.FULL, trust=0.5):
+    """Two hubs holding the same public and private room histories."""
+    sim, streams, network = make_network()
+    fed = PartialFederation(
+        network, ["ca", "hub1"], streams, default_policy=policy,
+        default_trust=trust,
+    )
+    fed.add_user("alice", "ca")
+    fed.add_user("bob", "hub1")
+    fed.create_room("town", ["alice", "bob"], public=True)
+    fed.create_room("den", ["alice", "bob"], public=False)
+    for i in range(10):
+        sim.run_process(fed.post("alice", "town", f"a{i}"))
+        sim.run_process(fed.post("bob", "town", f"b{i}"))
+        sim.run_process(fed.post("alice", "den", f"d{i}"))
+    sim.run(until=sim.now + 10.0)
+    sim.run_process(fed.reconcile_with("ca", "hub1"))
+    return sim, network, fed
+
+
+class TestReadAndRoundBudget:
+    def test_three_fetches_hash_each_message_at_most_once(self, hash_calls):
+        sim, _, fed = converged_partial()
+        del hash_calls[:]
+        for _ in range(3):
+            messages = sim.run_process(fed.fetch("bob", "town"))
+            assert len(messages) == 20
+        per_object = Counter(repr(obj) for obj in hash_calls)
+        assert len(hash_calls) <= 20
+        assert max(per_object.values()) == 1
+
+    @pytest.mark.parametrize("policy,trust", [
+        (FederationPolicy.FULL, 0.5),
+        (FederationPolicy.FILTERED, 0.5),   # public entries only
+        (FederationPolicy.FILTERED, 0.9),   # trusted: everything
+    ])
+    def test_converged_round_makes_no_shares_with_calls(
+        self, monkeypatch, policy, trust,
+    ):
+        sim, _, fed = converged_partial(policy, trust)
+        calls = []
+        shares_with = FederationHub.shares_with
+
+        def counting(self, peer, value):
+            calls.append(value)
+            return shares_with(self, peer, value)
+
+        monkeypatch.setattr(FederationHub, "shares_with", counting)
+        rounds = fed.hubs["ca"].rounds
+        assert sim.run_process(fed.reconcile_with("ca", "hub1")) is True
+        assert sim.run_process(fed.reconcile_with("hub1", "ca")) is True
+        assert fed.hubs["ca"].rounds == rounds + 1
+        assert calls == []
+
+    def test_rewritten_key_gets_a_new_message(self):
+        sim, _, fed = converged_partial()
+        key = next(
+            k for k in fed.hubs["ca"].store.keys() if k.startswith("msg/town/")
+        )
+        before = sim.run_process(fed.fetch("alice", "town"))
+        old = fed.hubs["ca"].store.item(key)
+        value = dict(old.value, body="edited")
+        fed.hubs["ca"].store.adopt(
+            key, Versioned(value, old.counter + 1, old.writer),
+        )
+        after = sim.run_process(fed.fetch("alice", "town"))
+        edited = [m for m in after if m.body == "edited"]
+        assert len(edited) == 1
+        assert edited[0].msg_id == dataclasses.replace(edited[0]).msg_id
+        # The key still names the old content; the reader's id does not.
+        old_id = key.rsplit("/", 1)[1]
+        assert edited[0].msg_id != old_id
+        ids_before = {m.msg_id for m in before}
+        ids_after = {m.msg_id for m in after}
+        assert ids_before - ids_after == {old_id}
+        assert ids_after - ids_before == {edited[0].msg_id}
+
+
+class TestDigestIsolation:
+    def test_gossip_digest_is_a_copy(self):
+        sim, streams, network = make_network()
+        a = AntiEntropyNode(network, network.create_node("a"), ["a", "b"], streams)
+        b = AntiEntropyNode(network, network.create_node("b"), ["a", "b"], streams)
+        for i in range(5):
+            b.write(f"k{i}", {"n": i})
+        before = dict(b.store.stamps())
+        served = sim.run_process(
+            network.rpc("a", "b", "gossip.digest", {})
+        )
+        served["k0"] = (99, "z", "forged")
+        served["extra"] = (1, "z", "x")
+        del served["k1"]
+        assert b.store.stamps() == before
+        assert sim.run_process(
+            network.rpc("a", "b", "gossip.digest", {})
+        ) == before
+        assert a.store.stamps() == {}
+
+    def test_pfed_digest_is_a_copy(self):
+        sim, network, fed = converged_partial(FederationPolicy.FILTERED)
+        hub = fed.hubs["ca"]
+        before_all = dict(hub.store.stamps())
+        before_public = dict(hub.store.public_stamps())
+        served = sim.run_process(
+            network.rpc("hub1", "ca", "pfed.digest", {})
+        )
+        assert served == before_public
+        key = next(iter(served))
+        served[key] = (99, "z", "forged")
+        served["extra"] = (1, "z", "x")
+        served.clear()
+        assert hub.store.stamps() == before_all
+        assert hub.store.public_stamps() == before_public
+        assert sim.run_process(
+            network.rpc("hub1", "ca", "pfed.digest", {})
+        ) == before_public
