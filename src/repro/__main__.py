@@ -26,7 +26,7 @@ import argparse
 import sys
 from typing import Callable, Dict, List
 
-from repro.analysis import render_kv, render_table
+from repro.analysis.tables import render_kv, render_table
 
 
 def _table1() -> None:

@@ -3,14 +3,26 @@
 Both helpers route through :mod:`repro.analysis.runner`: ``sweep``
 executes via a :class:`~repro.analysis.runner.SweepRunner` (serial and
 uncached by default, parallel/cached when the caller passes one), and
-``cross_product`` builds the config grids the runner consumes.
+``cross_product`` builds the config grids the runner consumes.  The
+runner is imported on first use, so importing the package to render a
+table does not load the process pool.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+)
 
-from repro.analysis.runner import SweepRunner
+if TYPE_CHECKING:  # pragma: no cover - import for annotations only
+    from repro.analysis.runner import SweepRunner
 
 __all__ = ["sweep", "cross_product"]
 
@@ -31,6 +43,8 @@ def sweep(
     Pass ``runner=SweepRunner(workers=N, cache=...)`` to parallelize or
     memoize; the default is the exact serial loop this helper always was.
     """
+    from repro.analysis.runner import SweepRunner
+
     values = list(values)
     runner = runner or SweepRunner()
     name = experiment or getattr(run, "__name__", "sweep")

@@ -18,11 +18,13 @@ race's ``difficulty`` parameter when ``difficulty = 2**target_bits``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.errors import CryptoError
 from repro.crypto.hashing import sha256_hex
-from repro.sim.rng import RngStreams
+
+if TYPE_CHECKING:  # pragma: no cover - import for annotations only
+    from repro.sim.rng import RngStreams
 
 __all__ = ["PowPuzzle", "MiningRace", "expected_block_time"]
 

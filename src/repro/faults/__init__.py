@@ -19,6 +19,9 @@ reproducible subsystem:
   ``python -m repro chaos``.
 """
 
+from typing import Any, Callable
+
+from repro._lazy import lazy_exports
 from repro.errors import FaultError, InvariantViolation
 from repro.faults.injector import FaultInjector
 from repro.faults.invariants import (
@@ -41,7 +44,15 @@ from repro.faults.plan import (
     Partition,
 )
 from repro.faults.presets import PRESETS, load_plan, preset_plan
-from repro.faults.scenarios import SCENARIOS, run_chaos
+
+#: Loaded on first use: the chaos catalogue imports every experiment
+#: family it can fault (naming, storage, relays, topologies), which an
+#: injector or a plan never needs.
+_LAZY = {
+    "SCENARIOS": "repro.faults.scenarios",
+    "run_chaos": "repro.faults.scenarios",
+}
+__getattr__: Callable[[str], Any] = lazy_exports(__name__, _LAZY, globals())
 
 __all__ = [
     "Censor",

@@ -23,7 +23,6 @@ from typing import Any, Dict, List, Optional
 
 from repro.errors import FaultError
 from repro.faults.presets import PRESETS, load_plan
-from repro.faults.scenarios import SCENARIOS, run_chaos
 from repro.obs.metrics import Metrics
 from repro.obs.runtime import observe
 from repro.obs.tracer import Tracer
@@ -81,6 +80,8 @@ def add_chaos_arguments(parser) -> None:
 
 
 def _listing() -> str:
+    from repro.faults.scenarios import SCENARIOS
+
     lines = [f"scenarios: {' '.join(sorted(SCENARIOS))}", "presets:"]
     for name in sorted(PRESETS):
         plan = PRESETS[name]()
@@ -142,6 +143,10 @@ def validate_chaos_report(doc: Any) -> List[str]:
 
 def run_chaos_command(args) -> int:
     """Execute the chaos command from parsed arguments."""
+    # The scenario catalogue imports every experiment family; building
+    # the ``repro`` argument parser must not pay for it.
+    from repro.faults.scenarios import SCENARIOS, run_chaos
+
     if args.list_presets:
         print(_listing())
         return 0

@@ -12,13 +12,14 @@ asks of group communication systems, and is what E4/E5 measure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set
-
-import networkx as nx
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set
 
 from repro.crypto.hashing import hash_obj
 from repro.errors import GroupCommError
 from repro.net.transport import Network
+
+if TYPE_CHECKING:  # pragma: no cover - import for annotations only
+    import networkx as nx
 
 __all__ = ["PubSubMessage", "PubSubNode", "build_pubsub_overlay"]
 

@@ -10,9 +10,7 @@ serve a post is small and device-grade (the trade E5 quantifies).
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Dict, Generator, List, Optional
-
-import networkx as nx
+from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional
 
 from repro.errors import (
     AccessDeniedError,
@@ -23,6 +21,9 @@ from repro.errors import (
 from repro.groupcomm.messages import Audience, Message
 from repro.net.node import NodeClass
 from repro.net.transport import Network
+
+if TYPE_CHECKING:  # pragma: no cover - import for annotations only
+    import networkx as nx
 
 __all__ = ["SocialP2PNetwork"]
 

@@ -63,7 +63,7 @@ __all__ = [
 #: Version of the rule pack and fragment layout.  Bump whenever a rule's
 #: behaviour or the :class:`~repro.lint.index.ModuleFragment` schema
 #: changes, so stale cache entries miss instead of replaying old results.
-RULE_PACK_VERSION = 3
+RULE_PACK_VERSION = 4
 
 
 class LintError(ReproError):

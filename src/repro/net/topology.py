@@ -9,16 +9,19 @@ use them two ways:
   federation).
 
 Every builder takes an explicit ``seed`` so topologies are reproducible.
+networkx is imported inside the builders, so a run that only places
+users (:func:`federation_homes`) never loads it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.errors import NetworkError
 from repro.sim.rng import seeded_rng
+
+if TYPE_CHECKING:  # pragma: no cover - import for annotations only
+    import networkx as nx
 
 __all__ = [
     "star",
@@ -40,6 +43,8 @@ def _ids(prefix: str, count: int) -> List[str]:
 
 def star(center: str, leaves: Sequence[str]) -> nx.Graph:
     """A hub-and-spoke graph: the centralized-provider shape."""
+    import networkx as nx
+
     graph = nx.Graph()
     graph.add_node(center)
     for leaf in leaves:
@@ -66,6 +71,8 @@ def isp_tree(
     (:class:`repro.faults.Censor`) draw their border from these labels
     via :func:`nodes_in_region`.
     """
+    import networkx as nx
+
     graph = nx.Graph()
     isps = _ids(isp_prefix, n_isps)
     for i, isp_a in enumerate(isps):
@@ -102,6 +109,8 @@ def nodes_in_region(graph: nx.Graph, region: str) -> List[str]:
 
 def random_graph(count: int, edge_prob: float, seed: int, prefix: str = "n") -> nx.Graph:
     """Erdős–Rényi over generated node ids."""
+    import networkx as nx
+
     if not 0 <= edge_prob <= 1:
         raise NetworkError(f"edge_prob must be in [0,1]: {edge_prob}")
     ids = _ids(prefix, count)
@@ -114,6 +123,8 @@ def small_world(
 ) -> nx.Graph:
     """Watts–Strogatz small world — the standard social-graph stand-in
     used for the socially-aware P2P experiments (E5)."""
+    import networkx as nx
+
     if k >= count:
         raise NetworkError(f"k={k} must be < count={count}")
     ids = _ids(prefix, count)
@@ -124,6 +135,8 @@ def small_world(
 def scale_free(count: int, m: int = 2, seed: int = 0, prefix: str = "n") -> nx.Graph:
     """Barabási–Albert preferential attachment — hub-heavy graphs that
     model follower-style social networks."""
+    import networkx as nx
+
     if m >= count:
         raise NetworkError(f"m={m} must be < count={count}")
     ids = _ids(prefix, count)
@@ -133,6 +146,8 @@ def scale_free(count: int, m: int = 2, seed: int = 0, prefix: str = "n") -> nx.G
 
 def ring_lattice(count: int, k: int = 2, prefix: str = "n") -> nx.Graph:
     """Ring lattice (Watts–Strogatz with rewire probability 0)."""
+    import networkx as nx
+
     ids = _ids(prefix, count)
     base = nx.watts_strogatz_graph(count, k, 0.0, seed=0)
     return nx.relabel_nodes(base, {i: ids[i] for i in range(count)})

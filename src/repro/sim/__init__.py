@@ -15,7 +15,9 @@ Public surface:
   :class:`TimeWeightedGauge` — measurement.
 """
 
-from repro.sim.cohort import CohortEngine, DeviceCohort
+from typing import Any, Callable
+
+from repro._lazy import lazy_exports
 from repro.sim.engine import (
     AllOf,
     AnyOf,
@@ -27,7 +29,17 @@ from repro.sim.engine import (
 )
 from repro.sim.monitor import Counter, Monitor, Sampler, TimeWeightedGauge, summarize
 from repro.sim.rng import RngStreams, derive_seed, seeded_generator, seeded_rng
-from repro.sim.shard import ShardedSimulator, ShardWorkload, run_single_process
+
+#: Loaded on first use: ``cohort`` imports numpy and ``shard`` the whole
+#: transport package, which a plain event-loop run needs neither of.
+_LAZY = {
+    "CohortEngine": "repro.sim.cohort",
+    "DeviceCohort": "repro.sim.cohort",
+    "ShardedSimulator": "repro.sim.shard",
+    "ShardWorkload": "repro.sim.shard",
+    "run_single_process": "repro.sim.shard",
+}
+__getattr__: Callable[[str], Any] = lazy_exports(__name__, _LAZY, globals())
 
 __all__ = [
     "Simulator",

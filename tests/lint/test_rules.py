@@ -309,6 +309,66 @@ class TestAPI001:
         """
         assert rule_ids(src) == []
 
+    def test_lazy_table_keys_count_as_bound(self):
+        src = """
+        from repro._lazy import lazy_exports
+        from pkg.light import f
+
+        _LAZY = {"Heavy": "pkg.heavy", "load": "pkg.heavy"}
+        __getattr__ = lazy_exports(__name__, _LAZY, globals())
+
+        __all__ = ["f", "Heavy", "load"]
+        """
+        assert rule_ids(src) == []
+
+    def test_inline_annotated_lazy_table_counts(self):
+        src = """
+        from typing import Any, Callable
+
+        from repro._lazy import lazy_exports
+
+        __getattr__: Callable[[str], Any] = lazy_exports(
+            __name__, {"Heavy": "pkg.heavy"}, globals())
+
+        __all__ = ["Heavy"]
+        """
+        assert rule_ids(src) == []
+
+    def test_name_in_neither_bindings_nor_table_flagged(self):
+        src = """
+        from repro._lazy import lazy_exports
+
+        _LAZY = {"Heavy": "pkg.heavy"}
+        __getattr__ = lazy_exports(__name__, _LAZY, globals())
+
+        __all__ = ["Heavy", "missing"]
+        """
+        findings = lint_source(textwrap.dedent(src), path="pkg/repro/module.py")
+        assert [f.rule_id for f in findings] == ["API001"]
+        assert "'missing'" in findings[0].message
+
+    def test_table_key_missing_from_all_flagged(self):
+        src = """
+        from repro._lazy import lazy_exports
+
+        _LAZY = {"Heavy": "pkg.heavy", "Forgotten": "pkg.heavy"}
+        __getattr__ = lazy_exports(__name__, _LAZY, globals())
+
+        __all__ = ["Heavy"]
+        """
+        findings = lint_source(textwrap.dedent(src), path="pkg/repro/module.py")
+        assert [f.rule_id for f in findings] == ["API001"]
+        assert "'Forgotten'" in findings[0].message
+        assert findings[0].line == 4
+
+    def test_dict_not_passed_to_lazy_exports_binds_nothing(self):
+        src = """
+        _TABLE = {"Heavy": "pkg.heavy"}
+
+        __all__ = ["Heavy"]
+        """
+        assert rule_ids(src) == ["API001"]
+
 
 class TestFLT001:
     def test_partition_assignment_flagged(self):
