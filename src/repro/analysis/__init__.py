@@ -9,11 +9,11 @@ from repro.analysis.tables import render_kv, render_table
 from repro.analysis.verification import verify_reproduction
 
 #: Loaded on first use: the drivers import numpy (``cohort``) and every
-#: system family in the catalogue (``experiments``, ``shard_driver``,
-#: ``censorship``), and ``runner`` brings the process pool.  Rendering a
-#: table or a figure needs none of them.  A lazy name must differ from
-#: its submodule's name: importing ``repro.analysis.sweep`` binds the
-#: module over the package attribute, so ``sweep`` stays eager.
+#: system family in the catalogue (``experiments``, ``censorship``), and
+#: ``runner`` brings the process pool.  Rendering a table or a figure
+#: needs none of them.  A lazy name must differ from its submodule's
+#: name: importing ``repro.analysis.sweep`` binds the module over the
+#: package attribute, so ``sweep`` stays eager.
 _LAZY = {
     "run_censorship_sweep": "repro.analysis.censorship",
     "run_churn_availability": "repro.analysis.cohort",
@@ -31,10 +31,6 @@ _LAZY = {
     "run_quality_vs_quantity": "repro.analysis.experiments",
     "run_social_tradeoff": "repro.analysis.experiments",
     "run_swarm_availability": "repro.analysis.experiments",
-    "run_federation_availability_shard": "repro.analysis.shard_driver",
-    "run_registration_shard_smoke": "repro.analysis.shard_driver",
-    "run_shard_chaos": "repro.analysis.shard_driver",
-    "run_social_tradeoff_shard": "repro.analysis.shard_driver",
     "RunnerStats": "repro.analysis.runner",
     "SweepCache": "repro.analysis.runner",
     "SweepRunner": "repro.analysis.runner",
@@ -71,9 +67,5 @@ __all__ = [
     "run_social_tradeoff_cohort",
     "run_quality_vs_quantity_cohort",
     "run_feasibility_cohort",
-    "run_federation_availability_shard",
-    "run_social_tradeoff_shard",
-    "run_registration_shard_smoke",
-    "run_shard_chaos",
     "run_censorship_sweep",
 ]

@@ -1,8 +1,11 @@
 """The timing harness: the only place in :mod:`repro.bench` that reads
 the host clock.
 
-Each benchmark body runs ``repetitions`` times against a fresh
-:class:`~repro.obs.metrics.Metrics` registry.  Two things come out:
+Each benchmark body runs once untimed, to warm up, and then
+``repetitions`` timed times, each against a fresh
+:class:`~repro.obs.metrics.Metrics` registry.  The warm-up pays one-off
+costs such as the first import of the body's driver module, which would
+otherwise land in the first timed repetition.  Two things come out:
 
 * **Wall clock** — best-of-N (and mean-of-N) seconds.  Best-of is the
   standard noise-resistant estimator for short deterministic workloads:
@@ -11,7 +14,8 @@ Each benchmark body runs ``repetitions`` times against a fresh
   These are functions of the workload alone (events fired, messages
   delivered, cache hits), so they must be byte-identical across
   repetitions and across machines; the harness checks that on every run
-  and marks the result non-deterministic when any repetition disagrees.
+  and marks the result non-deterministic when any repetition disagrees
+  with the warm-up.
   Gauges and histograms are excluded — several (``sweep.wall_s``, task
   wall-time histograms) record host time by design.
 
@@ -78,22 +82,21 @@ def work_counters(metrics: Metrics) -> Dict[str, int]:
 def run_benchmark(
     bench: Benchmark, repetitions: int = DEFAULT_REPETITIONS
 ) -> BenchResult:
-    """Execute one benchmark ``repetitions`` times; time it, check the
-    work counters repeat exactly."""
+    """Execute one benchmark once untimed and then ``repetitions`` times
+    timed; check the work counters repeat exactly."""
     if repetitions < 1:
         raise BenchError(f"repetitions must be >= 1, got {repetitions}")
+    warm_up = Metrics()
+    bench.fn(warm_up)
+    work = work_counters(warm_up)
     timings: List[float] = []
-    work: Optional[Dict[str, int]] = None
     deterministic = True
     for _rep in range(repetitions):
         metrics = Metrics()
         start = time.perf_counter()
         bench.fn(metrics)
         timings.append(time.perf_counter() - start)
-        counters = work_counters(metrics)
-        if work is None:
-            work = counters
-        elif counters != work:
+        if work_counters(metrics) != work:
             deterministic = False
     return BenchResult(
         name=bench.name,
@@ -101,7 +104,7 @@ def run_benchmark(
         repetitions=repetitions,
         best_s=min(timings),
         mean_s=sum(timings) / len(timings),
-        work=work or {},
+        work=work,
         deterministic=deterministic,
     )
 

@@ -27,9 +27,6 @@ Rules (see ``docs/LINTING.md`` for the full catalog and rationale):
   must be declared as ``FaultPlan`` events.
 * **BEN001** — no host-clock reads inside ``repro/bench/`` benchmark
   bodies; only ``repro/bench/harness.py`` times.
-* **SHD001** — no direct cross-shard state mutation outside
-  ``repro/sim/shard.py``; cross-shard traffic must ride the
-  coordinator's envelope barrier protocol.
 
 Whole-program rules (checked over the :class:`ProjectIndex` built from
 *all* linted files, not one file at a time):
@@ -83,7 +80,6 @@ from repro.lint import rules_errors  # noqa: F401
 from repro.lint import rules_faults  # noqa: F401
 from repro.lint import rules_parallel  # noqa: F401
 from repro.lint import rules_project  # noqa: F401
-from repro.lint import rules_shard  # noqa: F401
 
 __all__ = [
     "Finding",

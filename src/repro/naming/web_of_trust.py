@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-import networkx as nx
-
 from repro.crypto.keys import KeyPair, generate_keypair
 from repro.errors import NamingError
 
@@ -46,6 +44,8 @@ class WebOfTrust:
             )
         self.trust_horizon = trust_horizon
         self.endorsements_required = endorsements_required
+        import networkx as nx
+
         self._graph = nx.DiGraph()  # identity -> identity ("I vouch for you")
         self._endorsements: Dict[Tuple[str, str], Set[str]] = {}
         self._identities: Dict[str, KeyPair] = {}
@@ -81,6 +81,8 @@ class WebOfTrust:
 
     def reachable_from(self, anchors: List[str]) -> Set[str]:
         """Identities within ``trust_horizon`` hops of any anchor."""
+        import networkx as nx
+
         reachable: Set[str] = set()
         for anchor in anchors:
             if anchor not in self._graph:

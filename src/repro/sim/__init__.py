@@ -8,9 +8,6 @@ Public surface:
 * :class:`RngStreams` — named deterministic randomness.
 * :class:`DeviceCohort`, :class:`CohortEngine` — the vectorized batch
   engine for population-scale (10^5-10^6 device) experiments.
-* :class:`ShardedSimulator`, :class:`ShardWorkload`,
-  :func:`run_single_process` — the space-partitioned shard engine
-  (conservative-lookahead synchronization; ``docs/SCALING.md``).
 * :class:`Monitor`, :class:`Counter`, :class:`Sampler`,
   :class:`TimeWeightedGauge` — measurement.
 """
@@ -30,14 +27,11 @@ from repro.sim.engine import (
 from repro.sim.monitor import Counter, Monitor, Sampler, TimeWeightedGauge, summarize
 from repro.sim.rng import RngStreams, derive_seed, seeded_generator, seeded_rng
 
-#: Loaded on first use: ``cohort`` imports numpy and ``shard`` the whole
-#: transport package, which a plain event-loop run needs neither of.
+#: Loaded on first use: ``cohort`` imports numpy, which a plain
+#: event-loop run does not need.
 _LAZY = {
     "CohortEngine": "repro.sim.cohort",
     "DeviceCohort": "repro.sim.cohort",
-    "ShardedSimulator": "repro.sim.shard",
-    "ShardWorkload": "repro.sim.shard",
-    "run_single_process": "repro.sim.shard",
 }
 __getattr__: Callable[[str], Any] = lazy_exports(__name__, _LAZY, globals())
 
@@ -45,9 +39,6 @@ __all__ = [
     "Simulator",
     "CohortEngine",
     "DeviceCohort",
-    "ShardedSimulator",
-    "ShardWorkload",
-    "run_single_process",
     "seeded_generator",
     "Process",
     "Signal",

@@ -698,19 +698,6 @@ class Simulator:
         """
         return self._stale_resumes
 
-    def next_event_time(self) -> Optional[float]:
-        """Simulated time of the earliest live event, or ``None``.
-
-        Cancelled tombstones are skipped (without draining them, so
-        calling this never perturbs run-loop accounting).  The sharded
-        engine uses this to size conservative synchronization windows.
-        """
-        best: Optional[float] = None
-        for time_, _seq, event in self._queue:
-            if not event.cancelled and (best is None or time_ < best):
-                best = time_
-        return best
-
     def schedule(
         self, delay: float, callback: Callable, *args: Any
     ) -> _ScheduledEvent:
@@ -762,16 +749,11 @@ class Simulator:
         self,
         until: Optional[float] = None,
         max_events: int = 50_000_000,
-        inclusive: bool = True,
     ) -> float:
         """Run until the queue empties or simulated time passes ``until``.
 
         Returns the final simulated time.  ``max_events`` guards against
         runaway simulations (raises :class:`SimulationError` when hit).
-        ``inclusive=False`` stops *before* events scheduled exactly at
-        ``until`` — the half-open windows the sharded engine advances
-        in, so an event at a window boundary runs in the next window,
-        after cross-shard envelopes for that instant have been injected.
         """
         if self._running:
             raise SimulationError("simulator is already running (reentrant run)")
@@ -792,10 +774,7 @@ class Simulator:
                     if metrics is not None:
                         metrics.inc("sim.tombstones_drained")
                     continue
-                if until is not None and (
-                    event.time > until
-                    or (not inclusive and event.time >= until)
-                ):
+                if until is not None and event.time > until:
                     break
                 pop(queue)
                 event.popped = True

@@ -78,7 +78,7 @@ class TestHarness:
         result = run_benchmark(_bench("t.varies", body), repetitions=2)
         assert result.deterministic is False
 
-    def test_single_repetition_cannot_prove_drift(self):
+    def test_single_repetition_still_checked_against_warm_up(self):
         calls = [0]
 
         def body(metrics):
@@ -86,7 +86,24 @@ class TestHarness:
             metrics.inc("bench.varies", calls[0])
 
         result = run_benchmark(_bench("t.once", body), repetitions=1)
-        assert result.deterministic is True
+        assert calls[0] == 2
+        assert result.deterministic is False
+
+    def test_untimed_warm_up_runs_first(self):
+        calls = [0]
+
+        def body(metrics):
+            calls[0] += 1
+            metrics.inc("bench.varies", 1 if calls[0] == 1 else 2)
+
+        result = run_benchmark(_bench("t.warm", body), repetitions=2)
+        # Three calls, two timings; the warm-up's counters are the
+        # reference, so timed calls that differ from it are flagged even
+        # when they agree with each other.
+        assert calls[0] == 3
+        assert result.repetitions == 2
+        assert result.work == {"bench.varies": 1}
+        assert result.deterministic is False
 
     def test_zero_repetitions_rejected(self):
         with pytest.raises(BenchError):

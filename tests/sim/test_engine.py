@@ -46,6 +46,23 @@ class TestScheduling:
         assert fired == [1]
         assert sim.now == 5.0
 
+    def test_run_until_is_inclusive(self):
+        # An event at exactly ``until`` fires, and so does one it
+        # schedules for the same instant; only later events wait.
+        sim = Simulator()
+        fired = []
+
+        def at_until():
+            fired.append(5)
+            sim.schedule(0.0, fired.append, "5b")
+
+        sim.schedule(5.0, at_until)
+        sim.schedule(5.0 + 1e-9, fired.append, "later")
+        assert sim.run(until=5.0) == 5.0
+        assert fired == [5, "5b"]
+        sim.run()
+        assert fired == [5, "5b", "later"]
+
     def test_run_until_then_resume(self):
         sim = Simulator()
         fired = []

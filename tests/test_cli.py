@@ -90,49 +90,6 @@ class TestSweepCommand:
         assert "sweepable" in capsys.readouterr().out
 
 
-class TestShardEngineCommand:
-    def test_sweep_e4_on_shard_engine(self, capsys):
-        assert main([
-            "sweep", "E4", "--engine", "shard", "--shards", "4",
-            "--no-cache",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "replicated_failover" in out
-        assert "messages_crossed" in out
-
-    def test_shard_count_defaults_to_two(self, capsys):
-        assert main([
-            "sweep", "E6S", "--engine", "shard", "--no-cache",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "registration-partition" in out
-
-    def test_shards_flag_requires_shard_engine(self, capsys):
-        assert main(["sweep", "E4", "--shards", "2", "--no-cache"]) == 2
-        assert "--shards requires --engine shard" in (
-            capsys.readouterr().err
-        )
-
-    def test_invalid_shard_count_rejected(self, capsys):
-        assert main([
-            "sweep", "E4", "--engine", "shard", "--shards", "0",
-            "--no-cache",
-        ]) == 2
-        assert "--shards must be >= 1" in capsys.readouterr().err
-
-    def test_unsharded_experiment_rejected(self, capsys):
-        assert main([
-            "sweep", "E8", "--engine", "shard", "--no-cache",
-        ]) == 2
-        assert "no shard engine" in capsys.readouterr().err
-
-    def test_list_mentions_shard_engine(self, capsys):
-        assert main(["list"]) == 0
-        out = capsys.readouterr().out
-        assert "--engine shard" in out
-        assert "E6S" in out
-
-
 class TestVerifyCommand:
     def test_verify_passes_and_exits_zero(self, capsys):
         assert main(["verify"]) == 0

@@ -36,6 +36,7 @@ PROTOCOL_MODULES = (
     "repro.gossip.antientropy",
     "repro.groupcomm.federated",
     "repro.groupcomm.partial",
+    "repro.naming",
     "repro.net.latency",
     "repro.net.transport",
     "repro.sim.engine",
